@@ -20,9 +20,10 @@ Quickstart::
                    scheme="combined", threads=4)
     print(par.stats.self_speedup(), par.waveforms.voltage("out"))
 
-The historical per-analysis entry points (``run_transient``,
-``run_wavepipe``, ``dc_sweep``, ``ac_analysis``, ``sweep``) remain
-importable but are deprecated shims over the same engines.
+Each engine is also callable from its own module (for example
+:func:`repro.engine.transient.run_transient` or
+:func:`repro.core.wavepipe.run_wavepipe`) when its native result type
+is wanted.
 """
 
 from repro.analysis.ac import AcResult
@@ -34,14 +35,9 @@ from repro.api import (
     AnalysisResult,
     EnsembleRequest,
     EnsembleResult,
-    ac_analysis,
-    dc_sweep,
     run_ensemble_request,
     run_request,
-    run_transient,
-    run_wavepipe,
     simulate,
-    sweep,
 )
 from repro.engine.ensemble import EnsembleTransientResult, run_ensemble_transient
 from repro.partition import (
@@ -115,7 +111,6 @@ __all__ = [
     "AcResult",
     "AnalysisRequest",
     "AnalysisResult",
-    "ac_analysis",
     "Bjt",
     "BjtModel",
     "Capacitor",
@@ -129,7 +124,6 @@ __all__ = [
     "ConvergenceError",
     "CurrentSource",
     "Dc",
-    "dc_sweep",
     "DcSweepResult",
     "Deviation",
     "Diode",
@@ -166,9 +160,7 @@ __all__ = [
     "run_ensemble_request",
     "run_ensemble_transient",
     "run_request",
-    "run_transient",
     "run_verification",
-    "run_wavepipe",
     "run_wtm",
     "simulate",
     "SampledWaveform",
@@ -178,7 +170,6 @@ __all__ = [
     "SingularMatrixError",
     "SpeedupReport",
     "Subcircuit",
-    "sweep",
     "SweepResult",
     "TimestepError",
     "TransientResult",

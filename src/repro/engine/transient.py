@@ -6,6 +6,12 @@ guesses, truncation-error acceptance, shrink-and-retry, and breakpoint
 restarts. WavePipe reuses the same building blocks
 (:func:`solve_timepoint`, :func:`accept_point`) so sequential and
 pipelined runs are numerically comparable point for point.
+
+The same loop also runs K-variant ensembles in lockstep
+(:mod:`repro.engine.ensemble`): handed an
+:class:`~repro.mna.ensemble.EnsembleSystem`, :func:`solve_timepoint`
+picks the lockstep Newton kernel and :func:`accept_point` the
+max-reduction LTE test, and everything else is shared.
 """
 
 from __future__ import annotations
@@ -31,12 +37,14 @@ from repro.instrument.metrics import RunMetrics
 from repro.instrument.recorder import resolve_recorder
 from repro.integration.controller import StepController
 from repro.integration.history import Timepoint, TimepointHistory
-from repro.integration.lte import LteVerdict, lte_verdict
+from repro.integration.lte import LteVerdict, ensemble_lte_verdict, lte_verdict
 from repro.integration.methods import SchemeCoefficients, scheme_coefficients
-from repro.linalg.solve import LinearSolver
+from repro.linalg.solve import BlockSolver, LinearSolver
 from repro.mna.compiler import CompiledCircuit, compile_circuit
+from repro.mna.ensemble import EnsembleSystem
 from repro.mna.system import MnaSystem
 from repro.solver.dcop import solve_operating_point
+from repro.solver.ensemble import ensemble_newton_solve
 from repro.solver.newton import NewtonResult, newton_solve
 from repro.utils.options import SimOptions
 
@@ -73,7 +81,7 @@ def solve_timepoint(
     options: SimOptions,
     force_be: bool,
     buffers=None,
-    solver: LinearSolver | None = None,
+    solver: LinearSolver | BlockSolver | None = None,
     x_guess: np.ndarray | None = None,
     iter_cap: int | None = None,
 ) -> PointSolution:
@@ -83,6 +91,13 @@ def solve_timepoint(
     solution carries q and qdot so it can be appended to a history
     directly. Stateless with respect to *system*: safe for concurrent
     WavePipe tasks, each with its own *buffers* and *solver*.
+
+    An :class:`~repro.mna.ensemble.EnsembleSystem` is solved by the
+    lockstep kernel (:func:`~repro.solver.ensemble.ensemble_newton_solve`,
+    with a :class:`~repro.linalg.solve.BlockSolver`); its history carries
+    ``(n, K)`` solutions and charges, so the predictor, the scheme's
+    ``beta`` and the converged charge derivative inherit the variant axis
+    elementwise.
     """
     buffers = (
         buffers
@@ -95,7 +110,8 @@ def solve_timepoint(
             x_guess = history.predict(t_new, options.predictor_order)
         else:
             x_guess = history.last.x
-    result = newton_solve(
+    newton = ensemble_newton_solve if isinstance(system, EnsembleSystem) else newton_solve
+    result = newton(
         system,
         t_new,
         scheme.alpha0,
@@ -118,18 +134,25 @@ def accept_point(
     history: TimepointHistory,
     solution: PointSolution,
     options: SimOptions,
-) -> LteVerdict:
-    """Run the truncation-error test for a converged point."""
-    return lte_verdict(
-        solution.scheme.method_used,
-        solution.scheme.order,
+) -> tuple[LteVerdict, np.ndarray | None]:
+    """Run the truncation-error test for a converged point.
+
+    Returns the verdict plus, on an ensemble system, the per-variant
+    error ratios behind its max-reduction (None on a scalar system).
+    """
+    scheme = solution.scheme
+    args = (
+        scheme.method_used,
+        scheme.order,
         history,
         solution.t,
         solution.result.x,
         system.voltage_mask,
         options,
-        h_solve=solution.scheme.h,
     )
+    if isinstance(system, EnsembleSystem):
+        return ensemble_lte_verdict(*args, h_solve=scheme.h)
+    return lte_verdict(*args, h_solve=scheme.h), None
 
 
 @dataclass
@@ -199,36 +222,69 @@ def _initial_solution(
     uic: bool,
     node_ics: dict[str, float] | None,
     stats: TransientStats,
+    variants: list[CompiledCircuit] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Starting (x0, q0) from the operating point or initial conditions.
 
-    Also books the phase's wall time into ``stats.dcop_seconds`` and
-    emits the ``dcop`` trace event when a recorder is attached.
+    An ensemble passes its per-variant compiled circuits as *variants*.
+    Each variant then starts on its own scalar
+    :class:`~repro.mna.system.MnaSystem`, because DC homotopy fallbacks
+    mutate bank state (gshunt schedule, source scale) and the ensemble
+    banks must stay untouched; its ``dcop`` span is tagged ``variant=k``
+    and the starts stack into ``(n, K)`` arrays.
+
+    Also books the phase's wall time into ``stats.dcop_seconds``, its
+    cost into the other *stats* fields, and emits the ``dcop`` trace
+    span(s) when a recorder is attached.
     """
-    compiled = system.compiled
     rec = resolve_recorder(options.instrument)
     started = time.perf_counter()
+    if variants is None:
+        start = _start_one(system, options, uic, node_ics, stats, rec)
+    else:
+        starts = [
+            _start_one(MnaSystem(compiled), options, uic, node_ics, stats, rec, variant=k)
+            for k, compiled in enumerate(variants)
+        ]
+        start = tuple(np.stack(parts, axis=1) for parts in zip(*starts))
+    stats.dcop_seconds = time.perf_counter() - started
+    return start
+
+
+def _start_one(
+    system: MnaSystem,
+    options: SimOptions,
+    uic: bool,
+    node_ics: dict[str, float] | None,
+    stats: TransientStats,
+    rec,
+    **tags,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One scalar system's starting state; see :func:`_initial_solution`."""
     if not uic:
+        started = time.perf_counter()
         op = solve_operating_point(system, options)
-        stats.dc_work_units = op.work_units
+        stats.dc_work_units += op.work_units
         stats.newton_iterations += op.iterations
         stats.lu_factors += op.lu_factors
         stats.lu_refactors += op.lu_refactors
         stats.lu_solves += op.lu_solves
         stats.lu_reuse_hits += op.lu_reuse_hits
-        stats.dcop_seconds = time.perf_counter() - started
         if rec.enabled:
+            dur = time.perf_counter() - started
             rec.emit_span(
                 DCOP,
-                ts=rec.clock() - stats.dcop_seconds,
-                dur=stats.dcop_seconds,
+                ts=rec.clock() - dur,
+                dur=dur,
                 t_sim=0.0,
                 cost=op.work_units,
                 strategy=op.strategy,
                 iterations=op.iterations,
                 work_units=op.work_units,
+                **tags,
             )
         return op.x, op.q
+    compiled = system.compiled
     x0 = np.zeros(system.n)
     for key, value in compiled.initial_conditions.items():
         kind, _, name = key.partition(":")
@@ -240,9 +296,7 @@ def _initial_solution(
         x0[compiled.node_voltage_index(node)] = value
     out = system.make_buffers()
     system.eval(x0, 0.0, out)
-    q0 = system.charge(out)
-    stats.dcop_seconds = time.perf_counter() - started
-    return x0, q0
+    return x0, system.charge(out)
 
 
 def run_transient(
@@ -271,27 +325,68 @@ def run_transient(
     options = options or compiled.options
     if instrument is not None:
         options = options.replace(instrument=instrument)
+    system = MnaSystem(compiled)
+    stats, metrics, times, xs, steps = _run_loop(
+        system, tstop, tstep, options, uic, node_ics
+    )
+    return TransientResult(
+        waveforms=_build_waveforms(system, times, xs),
+        stats=stats,
+        times=np.array(times),
+        step_sizes=np.array(steps),
+        options=options,
+        metrics=metrics,
+    )
+
+
+def _run_loop(
+    system: MnaSystem,
+    tstop: float,
+    tstep: float | None,
+    options: SimOptions,
+    uic: bool,
+    node_ics: dict[str, float] | None,
+    variants: list[CompiledCircuit] | None = None,
+) -> tuple[TransientStats, RunMetrics, list[float], list[np.ndarray], list[float]]:
+    """The stepping loop behind both transient entry points.
+
+    DC start, then propose -> solve -> accept/reject -> record until
+    *tstop*, under one attempt budget. An
+    :class:`~repro.mna.ensemble.EnsembleSystem` (with its per-variant
+    compiled circuits as *variants*) steps all K variants on one shared
+    grid; its run and timestep spans carry ``sims=K``, and it adds the
+    ``ensemble.*`` counters, the ``ensemble.lte.worst_ratio`` histogram
+    and ``worst_variant`` on LTE rejects.
+
+    Returns the stats, the run metrics, and the accepted times, solutions
+    and step sizes.
+    """
     rec = resolve_recorder(options.instrument)
     tracing = rec.enabled
-    system = MnaSystem(compiled)
+    ensemble = isinstance(system, EnsembleSystem)
+    tags = {"sims": system.sims} if ensemble else {}
+    kind = "ensemble" if ensemble else "sequential"
     stats = TransientStats()
     started = time.perf_counter()
-    run_sid = rec.begin_span(RUN, kind="sequential") if tracing else 0
+    run_sid = rec.begin_span(RUN, kind=kind, **tags) if tracing else 0
 
-    x0, q0 = _initial_solution(system, options, uic, node_ics, stats)
+    x0, q0 = _initial_solution(system, options, uic, node_ics, stats, variants)
     history = TimepointHistory()
-    history.append(Timepoint(0.0, x0, q0, np.zeros(system.n)))
+    history.append(Timepoint(0.0, x0, q0, np.zeros_like(x0)))
 
     h0 = options.first_step_fraction * (tstep if tstep else tstop / 50.0)
     controller = StepController(
-        options, tstop, h0, compiled.collect_breakpoints(tstop)
+        options, tstop, h0, system.compiled.collect_breakpoints(tstop)
     )
 
     rec_times = [0.0]
     rec_x = [x0]
     step_sizes: list[float] = []
     buffers = system.make_buffers(fast_path=options.jacobian_reuse)
-    solver = LinearSolver(system.unknown_names)
+    if ensemble:
+        solver = BlockSolver(system.sims, system.unknown_names)
+    else:
+        solver = LinearSolver(system.unknown_names)
 
     t = 0.0
     attempts = 0
@@ -304,7 +399,7 @@ def run_transient(
                 f"({stats.accepted_points} accepted, {stats.rejected_points} rejected)"
             )
         h, hits_bp = controller.propose(t)
-        step_sid = rec.begin_span(TIMESTEP, t_sim=t + h, h=h) if tracing else 0
+        step_sid = rec.begin_span(TIMESTEP, t_sim=t + h, h=h, **tags) if tracing else 0
         solution = solve_timepoint(
             system, history, t + h, options, controller.force_be, buffers, solver
         )
@@ -322,7 +417,7 @@ def run_transient(
             controller.on_newton_failure(h)
             continue
 
-        verdict = accept_point(system, history, solution, options)
+        verdict, ratios = accept_point(system, history, solution, options)
         if not verdict.accepted:
             stats.rejected_points += 1
             if tracing:
@@ -332,8 +427,16 @@ def run_transient(
                     cost=solution.result.work_units,
                 )
                 rec.count("lte.rejects")
+                worst = {}
+                if ensemble:
+                    rec.count("ensemble.lte.rejects")
+                    worst["worst_variant"] = int(ratios.argmax()) if ratios.size else -1
                 rec.event(
-                    LTE_REJECT, t_sim=solution.t, h=h, h_optimal=verdict.h_optimal
+                    LTE_REJECT,
+                    t_sim=solution.t,
+                    h=h,
+                    h_optimal=verdict.h_optimal,
+                    **worst,
                 )
             controller.on_reject(h, verdict)
             continue
@@ -352,7 +455,11 @@ def run_transient(
                 step_sid, outcome=OUTCOME_ACCEPTED, cost=solution.result.work_units
             )
             rec.count("points.accepted")
+            if ensemble:
+                rec.count("ensemble.points.accepted")
             rec.observe("step.h_accepted", h)
+            if ensemble and ratios.size:
+                rec.observe("ensemble.lte.worst_ratio", float(ratios.max()))
             rec.event(STEP_ACCEPT, t_sim=t, h=h)
 
     stats.tran_seconds = time.perf_counter() - started - stats.dcop_seconds
@@ -361,16 +468,9 @@ def run_transient(
             run_sid, cost=stats.total_work, accepted=stats.accepted_points
         )
     metrics = RunMetrics.from_stats(
-        stats, scheme="sequential", threads=1, recorder=rec if tracing else None
+        stats, scheme=kind, threads=1, recorder=rec if tracing else None
     )
-    return TransientResult(
-        waveforms=_build_waveforms(system, rec_times, rec_x),
-        stats=stats,
-        times=np.array(rec_times),
-        step_sizes=np.array(step_sizes),
-        options=options,
-        metrics=metrics,
-    )
+    return stats, metrics, rec_times, rec_x, step_sizes
 
 
 def _build_waveforms(system: MnaSystem, times, xs) -> "WaveformSet":

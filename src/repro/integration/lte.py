@@ -80,31 +80,9 @@ def lte_verdict(
             being verified against a history that already contains their
             accepted siblings.
     """
-    h = h_solve if h_solve is not None else t_new - history.last.t
-    needed = order + 2  # dd of order k+1 needs k+2 points
-    points = [(t_new, x_new)] + [(p.t, p.x) for p in history.newest(needed - 1)]
-    if len(points) < needed:
-        return LteVerdict(True, 0.0, h * options.step_ratio_max, False)
-
-    dd = divided_difference(points[:needed])
-    err = ERROR_CONSTANTS[method_used] * (h ** (order + 1)) * np.abs(dd)
-
-    scale = np.maximum(np.abs(x_new), np.abs(history.last.x))
-    tol = options.trtol * (
-        options.effective_lte_reltol * scale + options.effective_lte_abstol
-    )
-    masked_err = err[voltage_mask]
-    masked_tol = tol[voltage_mask]
-    if masked_err.size == 0:
-        return LteVerdict(True, 0.0, h * options.step_ratio_max, False)
-
-    ratio = float(np.max(masked_err / masked_tol))
-    if ratio <= 0.0:
-        return LteVerdict(True, 0.0, h * ZERO_ERROR_GROWTH, True)
-
-    factor = ratio ** (-1.0 / (order + 1))
-    h_optimal = h * min(SAFETY * factor, ZERO_ERROR_GROWTH)
-    return LteVerdict(ratio <= 1.0, ratio, h_optimal, True)
+    return _lte_test(
+        method_used, order, history, t_new, x_new, voltage_mask, options, h_solve
+    )[0]
 
 
 def ensemble_lte_verdict(
@@ -124,15 +102,30 @@ def ensemble_lte_verdict(
     the ``(K,)`` per-variant ratios), and the next-step suggestion is the
     most conservative variant's optimum (min-reduction over per-variant
     ``h_optimal``). History and *x_new* carry the trailing variant axis;
-    all per-unknown formulas match :func:`lte_verdict` elementwise, so
-    K=1 reproduces the scalar verdict bit for bit.
+    the test is :func:`lte_verdict`'s own, column by column, so K=1
+    reproduces the scalar verdict bit for bit.
 
     Returns ``(combined verdict, per-variant error ratios)``; the ratio
     array is empty when no estimate was possible.
     """
+    return _lte_test(
+        method_used, order, history, t_new, x_new, voltage_mask, options, h_solve
+    )
+
+
+def _lte_test(
+    method_used, order, history, t_new, x_new, voltage_mask, options, h_solve
+) -> tuple[LteVerdict, np.ndarray]:
+    """The body of :func:`lte_verdict` and :func:`ensemble_lte_verdict`.
+
+    Reduces over the unknown axis only, so a scalar candidate yields one
+    error ratio and an ``(n, K)`` ensemble candidate one per variant; the
+    verdict then max-reduces the ratios and min-reduces the optimal
+    steps. Returns the verdict and the ratios (empty when no estimate was
+    possible).
+    """
     h = h_solve if h_solve is not None else t_new - history.last.t
-    sims = x_new.shape[1]
-    needed = order + 2
+    needed = order + 2  # dd of order k+1 needs k+2 points
     points = [(t_new, x_new)] + [(p.t, p.x) for p in history.newest(needed - 1)]
     if len(points) < needed:
         return LteVerdict(True, 0.0, h * options.step_ratio_max, False), np.zeros(0)
@@ -150,24 +143,21 @@ def ensemble_lte_verdict(
         return LteVerdict(True, 0.0, h * options.step_ratio_max, False), np.zeros(0)
 
     ratios = np.max(masked_err / masked_tol, axis=0)
-    # Per-variant h_optimal in Python floats: C pow and numpy's float64
-    # pow can differ in the last ulp, and K=1 must retrace the scalar
-    # verdict bit for bit.
-    h_opts = np.empty(ratios.shape[0])
-    for k in range(ratios.shape[0]):
-        ratio_k = float(ratios[k])
-        if ratio_k <= 0.0:
-            h_opts[k] = h * ZERO_ERROR_GROWTH
-        else:
-            factor = ratio_k ** (-1.0 / (order + 1))
-            h_opts[k] = h * min(SAFETY * factor, ZERO_ERROR_GROWTH)
     worst = float(ratios.max())
     if worst <= 0.0:
         return LteVerdict(True, 0.0, h * ZERO_ERROR_GROWTH, True), ratios
-    return (
-        LteVerdict(worst <= 1.0, worst, float(h_opts.min()), True),
-        ratios,
-    )
+    # Per-variant h_optimal in Python floats: C pow and numpy's float64
+    # pow can differ in the last ulp, and K=1 must retrace the scalar
+    # verdict bit for bit.
+    h_optimal = min(_optimal_step(h, float(r), order) for r in np.ravel(ratios))
+    return LteVerdict(worst <= 1.0, worst, h_optimal, True), ratios
+
+
+def _optimal_step(h: float, ratio: float, order: int) -> float:
+    if ratio <= 0.0:
+        return h * ZERO_ERROR_GROWTH
+    factor = ratio ** (-1.0 / (order + 1))
+    return h * min(SAFETY * factor, ZERO_ERROR_GROWTH)
 
 
 def predicted_max_step(

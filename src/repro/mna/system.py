@@ -44,17 +44,12 @@ class MnaSystem:
         self.voltage_mask = compiled.voltage_mask
         self.unknown_names = compiled.unknown_names
         self._static_base: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def has_nonlinear(self) -> bool:
-        """True when any bank is nonlinear (diode / MOSFET / BJT).
-
-        Newton on a purely linear system converges in one exact step, so
-        update damping and junction limiting are skipped entirely.
-        """
-        return any(
+        #: True when any bank is nonlinear (diode / MOSFET / BJT). Newton
+        #: on a purely linear system converges in one exact step, so
+        #: update damping and junction limiting are skipped entirely.
+        self.has_nonlinear = any(
             type(bank).__name__ in ("DiodeBank", "MosfetBank", "BjtBank")
-            for bank in self.compiled.banks
+            for bank in compiled.banks
         )
 
     def make_buffers(self, fast_path: bool = False) -> EvalOutputs:

@@ -74,17 +74,39 @@ class NewtonResult:
     bypass_fallbacks: int = 0
 
 
-def iteration_work(system: MnaSystem, bypassed: bool = False) -> float:
+#: Marginal cost of evaluating one extra ensemble variant, as a fraction
+#: of a full device evaluation. Vectorised banks amortise the Python
+#: dispatch and index gathers across variants; only the raw numpy
+#: arithmetic scales with K.
+ENSEMBLE_EVAL_MARGIN = 0.25
+
+
+def _eval_factor(system: MnaSystem) -> float:
+    """Device evaluations one iteration pays for: 1 on a scalar system.
+
+    An ensemble's K variants share one vectorised pass, charged at
+    ``1 + (K-1) * ENSEMBLE_EVAL_MARGIN`` full evaluations.
+    """
+    return 1.0 + ENSEMBLE_EVAL_MARGIN * (getattr(system, "sims", 1) - 1)
+
+
+def iteration_work(system: MnaSystem, factored: int = 1, bypassed: int = 0) -> float:
     """Cost-model work units for one Newton iteration on *system*.
 
     Device evaluation dominates in a SPICE engine; factorisation scales
     with the pattern's nonzero count. The constants only matter up to an
     overall scale since speedups are cost ratios on the same system.
-    A *bypassed* iteration skips assembly and factorisation and pays only
-    the back-solve, modelled at a fifth of the factorisation weight.
+    *factored* variants (one, on a scalar system) pay assembly plus
+    factorisation; *bypassed* ones skip both and pay only the back-solve,
+    modelled at a fifth of the factorisation weight. Frozen (converged)
+    ensemble variants pay nothing beyond the shared evaluation.
     """
-    lu = 0.01 if bypassed else 0.05
-    return system.work_units_per_eval + lu * system.pattern.nnz
+    nnz = system.pattern.nnz
+    return (
+        system.work_units_per_eval * _eval_factor(system)
+        + 0.05 * nnz * factored
+        + 0.01 * nnz * bypassed
+    )
 
 
 def newton_solve(
@@ -107,15 +129,33 @@ def newton_solve(
             current iterate with ``converged=False`` and no error — used
             by WavePipe's speculative forward phase.
     """
+    return _instrumented(
+        _newton_iterate, system, t, alpha0, beta, x0, options, out, solver, iter_cap
+    )
+
+
+def _instrumented(iterate, system, t, alpha0, beta, x0, options, out, solver, iter_cap):
+    """Run one Newton kernel, booking it into the active recorder.
+
+    Shared by the scalar and the ensemble solver: *iterate* is the
+    instrumentation-free kernel. On an ensemble system the variant count
+    tags the ``newton_solve`` span as ``sims`` and feeds the
+    ``ensemble.solves`` and ``ensemble.variants_per_solve`` counters.
+    """
     opts = options or system.options
     rec = opts.instrument if opts.instrument is not None else get_recorder()
     if not rec.enabled:
-        return _newton_iterate(system, t, alpha0, beta, x0, opts, out, solver, iter_cap)
-    sid = rec.begin_span(NEWTON_SOLVE, t_sim=t)
+        return iterate(system, t, alpha0, beta, x0, opts, out, solver, iter_cap)
+    sims = getattr(system, "sims", None)
+    tags = {} if sims is None else {"sims": sims}
+    sid = rec.begin_span(NEWTON_SOLVE, t_sim=t, **tags)
     t_start = rec.clock()  # after begin_span so phase children nest inside
-    result = _newton_iterate(system, t, alpha0, beta, x0, opts, out, solver, iter_cap)
+    result = iterate(system, t, alpha0, beta, x0, opts, out, solver, iter_cap)
     rec.count("newton.solves")
     rec.count("newton.iterations", result.iterations)
+    if sims is not None:
+        rec.count("ensemble.solves")
+        rec.count("ensemble.variants_per_solve", sims)
     if not result.converged:
         rec.count("newton.failures")
     if result.lu_factors:
@@ -150,11 +190,13 @@ def _emit_phase_spans(rec, parent: int, t_start: float, system, result) -> None:
     ``cost`` attr is deterministic work units, while its wall interval
     is the parent's window divided proportionally — a drawing aid for
     Perfetto, not a measurement. ``device_eval`` additionally carries
-    the per-device-class attribution from the compiled circuit's banks.
+    the per-device-class attribution from the compiled circuit's banks,
+    scaled like the evaluation charge itself (see :func:`_eval_factor`).
     """
     nnz = system.pattern.nnz
     factorisations = result.lu_factors + result.lu_refactors
-    eval_cost = result.iterations * system.work_units_per_eval
+    eval_factor = _eval_factor(system)
+    eval_cost = result.iterations * system.work_units_per_eval * eval_factor
     assembly_cost = 0.02 * nnz * factorisations
     factor_cost = 0.02 * nnz * factorisations
     backsolve_cost = 0.01 * nnz * result.lu_solves
@@ -177,7 +219,7 @@ def _emit_phase_spans(rec, parent: int, t_start: float, system, result) -> None:
         extra = {}
         if name == PHASE_DEVICE_EVAL and compiled is not None:
             extra["classes"] = {
-                cls: result.iterations * units
+                cls: result.iterations * units * eval_factor
                 for cls, units in compiled.eval_cost_by_class().items()
             }
         rec.emit_span(
@@ -202,7 +244,7 @@ def _newton_iterate(
     solver = solver or LinearSolver(system.unknown_names)
     max_iters = iter_cap if iter_cap is not None else opts.max_newton_iters
     per_iter = iteration_work(system)
-    per_iter_bypassed = iteration_work(system, bypassed=True)
+    per_iter_bypassed = iteration_work(system, factored=0, bypassed=1)
 
     reuse = opts.jacobian_reuse
     # Factors are only reusable against the same linearised operator:

@@ -1,10 +1,11 @@
-"""The unified ``simulate()`` facade: dispatch, validation, shims.
+"""The unified ``simulate()`` facade: dispatch, validation, parity.
 
 ``repro.simulate`` fronts all five analyses behind one signature; the
-historical entry points survive as :class:`DeprecationWarning` shims.
-These tests exercise every dispatch arm on tiny circuits, the
-construction-time validation of :class:`AnalysisRequest`, and the
-delegation surface of :class:`AnalysisResult`.
+former per-analysis aliases on the package are gone. These tests
+exercise every dispatch arm on tiny circuits, its parity with the
+engines it calls, the construction-time validation of
+:class:`AnalysisRequest`, and the delegation surface of
+:class:`AnalysisResult`.
 """
 
 import numpy as np
@@ -12,7 +13,12 @@ import pytest
 
 import repro
 from repro import AnalysisRequest, AnalysisResult, simulate
+from repro.analysis.ac import ac_analysis
+from repro.analysis.dc import dc_sweep
+from repro.analysis.sweep import sweep
 from repro.api import ANALYSES, run_request
+from repro.core.wavepipe import run_wavepipe
+from repro.engine.transient import run_transient
 from repro.circuit.circuit import Circuit
 from repro.circuit.sources import Pulse
 from repro.errors import SimulationError
@@ -130,36 +136,14 @@ class TestRequestValidation:
 
 
 class TestDeprecatedShims:
-    """Old entry points still work, flagged with DeprecationWarning."""
+    """The deprecated per-analysis aliases are gone from the package."""
 
-    def test_run_transient_shim(self):
-        with pytest.deprecated_call(match="run_transient.*deprecated"):
-            result = repro.run_transient(_rc(), 8e-6)
-        assert result.waveforms.voltage("out").final_value() == pytest.approx(1.0, abs=1e-3)
-
-    def test_run_wavepipe_shim(self):
-        with pytest.deprecated_call(match="run_wavepipe.*deprecated"):
-            result = repro.run_wavepipe(_rc(), 8e-6, scheme="backward", threads=2)
-        assert result.stats.accepted_points > 0
-
-    def test_dc_sweep_shim(self, divider_circuit):
-        with pytest.deprecated_call(match="dc_sweep.*deprecated"):
-            result = repro.dc_sweep(divider_circuit, "V1", [0.0, 10.0])
-        assert result.curves.voltage("mid").values[-1] == pytest.approx(7.5)
-
-    def test_ac_analysis_shim(self):
-        with pytest.deprecated_call(match="ac_analysis.*deprecated"):
-            result = repro.ac_analysis(_rc(), "V1", np.logspace(3, 6, 10))
-        assert "v(out)" in result.transfer
-
-    def test_sweep_shim(self):
-        with pytest.deprecated_call(match="sweep.*deprecated"):
-            result = repro.sweep(
-                "R", [1e3],
-                metrics={"v": lambda r: r.waveforms.voltage("out").final_value()},
-                tstop=8e-6, circuit_factory=_rc,
-            )
-        assert result.column("v")[0] == pytest.approx(1.0, abs=1e-3)
+    @pytest.mark.parametrize(
+        "name", ["run_transient", "run_wavepipe", "dc_sweep", "ac_analysis", "sweep"]
+    )
+    def test_alias_removed(self, name):
+        assert not hasattr(repro, name)
+        assert name not in repro.__all__
 
     def test_simulate_emits_no_warning(self):
         import warnings
@@ -167,20 +151,6 @@ class TestDeprecatedShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             simulate(_rc(), analysis="transient", tstop=2e-6)
-
-
-def _single_deprecation(func, *args, **kwargs):
-    """Call *func*, asserting it emits exactly one DeprecationWarning."""
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = func(*args, **kwargs)
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1, (
-        f"{func.__name__} emitted {len(deprecations)} DeprecationWarnings, expected 1"
-    )
-    return result
 
 
 def _assert_same_waveforms(a, b):
@@ -191,53 +161,48 @@ def _assert_same_waveforms(a, b):
 
 
 class TestShimFacadeParity:
-    """Each legacy entry point warns exactly once and returns a result
-    identical to the simulate() facade (same engines, same numbers)."""
+    """The engines the removed aliases fronted return results identical
+    to the simulate() facade (same engines, same numbers)."""
 
     def test_run_transient(self):
-        shim = _single_deprecation(repro.run_transient, _rc(), 8e-6)
+        engine = run_transient(_rc(), 8e-6)
         facade = simulate(_rc(), analysis="transient", tstop=8e-6)
-        _assert_same_waveforms(shim.waveforms, facade.waveforms)
-        assert shim.stats.accepted_points == facade.stats.accepted_points
+        _assert_same_waveforms(engine.waveforms, facade.waveforms)
+        assert engine.stats.accepted_points == facade.stats.accepted_points
 
     def test_run_wavepipe(self):
-        shim = _single_deprecation(
-            repro.run_wavepipe, _rc(), 8e-6, scheme="combined", threads=3
-        )
+        engine = run_wavepipe(_rc(), 8e-6, scheme="combined", threads=3)
         facade = simulate(
             _rc(), analysis="wavepipe", tstop=8e-6, scheme="combined", threads=3
         )
-        _assert_same_waveforms(shim.waveforms, facade.waveforms)
-        assert shim.stats.accepted_points == facade.stats.accepted_points
+        _assert_same_waveforms(engine.waveforms, facade.waveforms)
+        assert engine.stats.accepted_points == facade.stats.accepted_points
 
     def test_dc_sweep(self, divider_circuit):
         values = np.linspace(0.0, 10.0, 11)
-        shim = _single_deprecation(repro.dc_sweep, divider_circuit, "V1", values)
+        engine = dc_sweep(divider_circuit, "V1", values)
         facade = simulate(divider_circuit, analysis="dc", source="V1", values=values)
-        for name in shim.curves.names:
+        for name in engine.curves.names:
             np.testing.assert_array_equal(
-                shim.curves[name].values, facade.curves[name].values
+                engine.curves[name].values, facade.curves[name].values
             )
 
     def test_ac_analysis(self):
         freqs = np.logspace(3, 6, 7)
-        shim = _single_deprecation(repro.ac_analysis, _rc(), "V1", freqs)
+        engine = ac_analysis(_rc(), "V1", freqs)
         facade = simulate(_rc(), analysis="ac", source="V1", freqs=freqs)
-        assert set(shim.transfer) == set(facade.transfer)
-        for name in shim.transfer:
-            np.testing.assert_array_equal(shim.transfer[name], facade.transfer[name])
+        assert set(engine.transfer) == set(facade.transfer)
+        for name in engine.transfer:
+            np.testing.assert_array_equal(engine.transfer[name], facade.transfer[name])
 
     def test_sweep(self):
         metrics = {"v": lambda r: r.waveforms.voltage("out").final_value()}
-        shim = _single_deprecation(
-            repro.sweep, "R", [0.5e3, 2e3], metrics,
-            tstop=8e-6, circuit_factory=_rc,
-        )
+        engine = sweep("R", [0.5e3, 2e3], metrics, tstop=8e-6, circuit_factory=_rc)
         facade = simulate(
             analysis="sweep", parameter="R", values=[0.5e3, 2e3],
             metrics=metrics, tstop=8e-6, circuit_factory=_rc,
         )
-        np.testing.assert_array_equal(shim.column("v"), facade.column("v"))
+        np.testing.assert_array_equal(engine.column("v"), facade.column("v"))
 
 
 class TestAnalysisResultSurface:

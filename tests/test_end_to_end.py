@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import (
-    SimOptions,
-    compare_with_sequential,
-    parse_netlist,
-    run_transient,
-    run_wavepipe,
-)
+from repro import SimOptions, compare_with_sequential, parse_netlist
+from repro.core.wavepipe import run_wavepipe
+from repro.engine.transient import run_transient
 from repro.analysis.ac import ac_analysis
 
 AMPLIFIER_DECK = """Common-emitter amplifier
